@@ -55,6 +55,11 @@ type Block struct {
 
 	pins     int
 	flushing bool
+	// wgen counts MarkDirty calls; flushGen is wgen when the in-flight
+	// write-back was issued. The write's completion cleans the block only
+	// if no newer modification arrived in between.
+	wgen     uint64
+	flushGen uint64
 	elem     *list.Element
 	pending  []func(*Block, error)
 	loaded   bool
@@ -398,8 +403,11 @@ func (c *Cache) GetForWrite(lbn int64, meta bool, done func(*Block, error)) {
 }
 
 // MarkDirty records a modification to a pinned block. The 0→dirty
-// transition feeds the dirty gauge and arms the background flusher.
+// transition feeds the dirty gauge and arms the background flusher. Every
+// call advances the block's write generation, so a write-back already in
+// flight (which carries the older contents) cannot clean it.
 func (c *Cache) MarkDirty(b *Block) {
+	b.wgen++
 	if !b.Dirty {
 		b.Dirty = true
 		c.noteDirty()

@@ -281,6 +281,62 @@ func TestSyncFlushesAllDirty(t *testing.T) {
 	}
 }
 
+// TestRewriteDuringFlushStaysDirty is the lost-write regression: a block
+// rewritten while its write-back is in flight must stay dirty when that
+// (older) write lands. Cleaning it there would let the WAL truncate the
+// newer record (WAL.Truncate keys on IsDirty) while storage holds only the
+// old contents.
+func TestRewriteDuringFlushStaysDirty(t *testing.T) {
+	eng, _, lower, c := rigCache(t, 16)
+	write := func(v byte) {
+		c.GetForWrite(0, false, func(b *Block, err error) {
+			if err != nil {
+				t.Errorf("GetForWrite: %v", err)
+				return
+			}
+			b.Data[0] = v
+			c.MarkDirty(b)
+			c.Unpin(b)
+		})
+	}
+	sync := func() {
+		t.Helper()
+		synced := false
+		c.Sync(func(err error) {
+			if err != nil {
+				t.Errorf("Sync: %v", err)
+			}
+			synced = true
+		})
+		if err := eng.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if !synced {
+			t.Fatal("Sync did not complete")
+		}
+	}
+	write(1)
+	if err := eng.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// The rewrite lands halfway through the flush's lower write.
+	eng.Schedule(lower.latency/2, func() { write(2) })
+	sync()
+	if got := lower.blocks[0][0]; got != 1 {
+		t.Fatalf("first flush wrote %#x, want the pre-rewrite contents 1", got)
+	}
+	if !c.IsDirty(0) || c.DirtyCount() != 1 {
+		t.Fatalf("rewritten block cleaned by the older write: dirty=%v count=%d", c.IsDirty(0), c.DirtyCount())
+	}
+	sync()
+	if got := lower.blocks[0][0]; got != 2 {
+		t.Fatalf("second flush wrote %#x, want the rewrite 2", got)
+	}
+	if c.IsDirty(0) || c.DirtyCount() != 0 {
+		t.Fatalf("block still dirty after flushing the rewrite: count=%d", c.DirtyCount())
+	}
+}
+
 func TestLogicalBlockFillIsKeyCopy(t *testing.T) {
 	eng, node, lower, c := rigCache(t, 16)
 	// Lower returns key-stamped junk, as the NCache read hook produces.

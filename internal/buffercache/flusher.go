@@ -269,6 +269,7 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 			chain.AppendChain(part)
 		}
 		b.flushing = true
+		b.flushGen = b.wgen
 	}
 	c.node.Charge(cost, nil)
 	c.Stats.Writeback += uint64(len(batch))
@@ -288,7 +289,7 @@ func (c *Cache) flushBatch(batch []*Block, done func(error)) {
 			if err != nil {
 				continue // stays dirty; a later flush retries
 			}
-			if b.Dirty {
+			if b.Dirty && b.wgen == b.flushGen {
 				b.Dirty = false
 				c.noteClean()
 			}

@@ -18,14 +18,24 @@ type Chain struct {
 }
 
 // SetPartial records a precomputed checksum partial for the chain's current
-// payload. The caller asserts it equals PartialOfChain(c).
+// payload. The caller asserts it equals PartialOfChain(c); debug mode checks
+// the assertion with a fresh walk, comparing folded values (raw sums of the
+// same bytes legitimately differ with how they were accumulated).
 func (c *Chain) SetPartial(p Partial) {
+	c.live()
+	if debugMode {
+		if w := PartialOfChain(c); w.Fold() != p.Fold() || w.odd != p.odd {
+			panic(fmt.Sprintf("netbuf: inherited checksum %#04x (odd %v) on %s, payload sums to %#04x (odd %v)",
+				p.Fold(), p.odd, c, w.Fold(), w.odd))
+		}
+	}
 	c.ck = p
 	c.ckValid = true
 }
 
 // CachedPartial returns the inherited checksum partial, if one is recorded.
 func (c *Chain) CachedPartial() (Partial, bool) {
+	c.live()
 	return c.ck, c.ckValid
 }
 
@@ -69,18 +79,26 @@ func ChainFromBytes(p []byte, segSize int) *Chain {
 // Append adds a buffer to the tail of the chain, taking ownership of the
 // caller's reference.
 func (c *Chain) Append(b *Buf) {
+	c.live()
 	c.invalidatePartial()
 	c.bufs = append(c.bufs, b)
 }
 
 // Bufs returns the underlying buffer slice. Callers must not mutate it.
-func (c *Chain) Bufs() []*Buf { return c.bufs }
+func (c *Chain) Bufs() []*Buf {
+	c.live()
+	return c.bufs
+}
 
 // NumBufs returns the number of buffers in the chain.
-func (c *Chain) NumBufs() int { return len(c.bufs) }
+func (c *Chain) NumBufs() int {
+	c.live()
+	return len(c.bufs)
+}
 
 // Len returns the total payload length across all buffers.
 func (c *Chain) Len() int {
+	c.live()
 	n := 0
 	for _, b := range c.bufs {
 		n += b.Len()
@@ -91,6 +109,7 @@ func (c *Chain) Len() int {
 // Gather copies the chain's payload into dst and returns the number of bytes
 // written (a physical copy; callers charge CPU time accordingly).
 func (c *Chain) Gather(dst []byte) int {
+	c.live()
 	n := 0
 	for _, b := range c.bufs {
 		if n >= len(dst) {
@@ -104,6 +123,7 @@ func (c *Chain) Gather(dst []byte) int {
 // Flatten returns the payload as a single newly allocated byte slice
 // (physical copy).
 func (c *Chain) Flatten() []byte {
+	c.live()
 	out := make([]byte, c.Len())
 	c.Gather(out)
 	return out
@@ -112,6 +132,7 @@ func (c *Chain) Flatten() []byte {
 // Clone returns a new chain whose buffers are zero-copy clones of c's — the
 // logical-copy transmit path. No payload bytes move.
 func (c *Chain) Clone() *Chain {
+	c.live()
 	nc := getChain()
 	for _, b := range c.bufs {
 		nc.bufs = append(nc.bufs, b.Clone())
@@ -122,6 +143,7 @@ func (c *Chain) Clone() *Chain {
 // SetOwner tags every buffer in the chain with a long-term holder for leak
 // reports (clone tags land on the roots, where the pinned memory is).
 func (c *Chain) SetOwner(owner string) {
+	c.live()
 	for _, b := range c.bufs {
 		b.SetOwner(owner)
 	}
@@ -162,6 +184,7 @@ func (c *Chain) Slice(off, n int) (*Chain, error) {
 // its root to a pool owned by another node's shard, which may recycle the
 // backing array while the caller is still reading the returned header.
 func (c *Chain) PullHeader(n int) ([]byte, error) {
+	c.live()
 	c.invalidatePartial()
 	if n < 0 || n > c.Len() {
 		return nil, fmt.Errorf("netbuf: pull header %d, chain len %d", n, c.Len())
@@ -199,6 +222,7 @@ func (c *Chain) PullHeader(n int) ([]byte, error) {
 // is the primitive streams (TCP reassembly, iSCSI PDU framing) consume data
 // with.
 func (c *Chain) PullChain(n int) (*Chain, error) {
+	c.live()
 	c.invalidatePartial()
 	if n < 0 || n > c.Len() {
 		return nil, fmt.Errorf("netbuf: pull chain %d, chain len %d", n, c.Len())
@@ -230,10 +254,14 @@ func (c *Chain) PullChain(n int) (*Chain, error) {
 	return out, nil
 }
 
-// compact releases and removes leading zero-length buffers.
+// compact releases and removes leading zero-length buffers. The vacated
+// slot is cleared: the backing array outlives the chain on the free list,
+// and a stale *Buf there would pin its pool (and that pool's whole node)
+// for as long as the recycled chain lives.
 func (c *Chain) compact() {
 	for len(c.bufs) > 0 && c.bufs[0].Len() == 0 {
 		c.bufs[0].Release()
+		c.bufs[0] = nil
 		c.bufs = c.bufs[1:]
 	}
 }
@@ -241,6 +269,8 @@ func (c *Chain) compact() {
 // Equal reports whether two chains carry identical payload bytes
 // (irrespective of buffer boundaries).
 func (c *Chain) Equal(o *Chain) bool {
+	c.live()
+	o.live()
 	if c.Len() != o.Len() {
 		return false
 	}
@@ -280,5 +310,9 @@ func (c *Chain) Equal(o *Chain) bool {
 
 // String summarizes the chain for debugging.
 func (c *Chain) String() string {
-	return fmt.Sprintf("Chain{bufs=%d len=%d}", len(c.bufs), c.Len())
+	n := 0
+	for _, b := range c.bufs {
+		n += b.Len()
+	}
+	return fmt.Sprintf("Chain{bufs=%d len=%d}", len(c.bufs), n)
 }

@@ -2,6 +2,7 @@ package netbuf
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +126,147 @@ func TestPartialIncrementalOddBytes(t *testing.T) {
 		if inc.Checksum() != whole.Checksum() {
 			t.Fatalf("step %d: %#x != %#x", step, inc.Checksum(), whole.Checksum())
 		}
+	}
+}
+
+// refPartial is the 16-bit-at-a-time accumulator AddBytes replaced, kept as
+// the reference the word-at-a-time sum must fold to. Its raw sum differs
+// from Partial's; only folded values are comparable.
+type refPartial struct {
+	sum uint64
+	odd bool
+}
+
+func (s *refPartial) addBytes(p []byte) {
+	i := 0
+	if s.odd && len(p) > 0 {
+		s.sum += uint64(p[0])
+		i = 1
+		s.odd = false
+	}
+	for ; i+1 < len(p); i += 2 {
+		s.sum += uint64(p[i])<<8 | uint64(p[i+1])
+	}
+	if i < len(p) {
+		s.sum += uint64(p[i]) << 8
+		s.odd = true
+	}
+}
+
+func (s *refPartial) fold() uint16 {
+	v := s.sum
+	for v > 0xffff {
+		v = (v >> 16) + (v & 0xffff)
+	}
+	return uint16(v)
+}
+
+// splitAt cuts p into fragments of random length (odd and even alike),
+// starting at a random offset so the first byte may sit at an odd address.
+func splitAt(p []byte, rng *rand.Rand) [][]byte {
+	if len(p) > 0 {
+		p = p[rng.Intn(len(p)):]
+	}
+	var frags [][]byte
+	for len(p) > 0 {
+		n := 1 + rng.Intn(len(p))
+		if rng.Intn(2) == 0 && n > 67 {
+			n = 1 + rng.Intn(67) // many short fragments too, not only long ones
+		}
+		frags = append(frags, p[:n])
+		p = p[n:]
+	}
+	return frags
+}
+
+// randomPayload returns up to 4 KB of random bytes, long enough to cover
+// the unrolled 32-byte loop, the 8-byte loop and the 16-bit tail.
+func randomPayload(rng *rand.Rand) []byte {
+	p := make([]byte, rng.Intn(4097))
+	rng.Read(p)
+	return p
+}
+
+// TestAddBytesFoldsToReference: fed the same fragments, the word-at-a-time
+// AddBytes folds to the 16-bit reference's value and tracks the same byte
+// parity.
+func TestAddBytesFoldsToReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var got Partial
+		var want refPartial
+		for _, fr := range splitAt(randomPayload(rng), rng) {
+			got.AddBytes(fr)
+			want.addBytes(fr)
+			if got.odd != want.odd || got.Fold() != want.fold() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPartialOfChainFoldsToReference: the partial of a chain built from
+// random odd/even fragments folds to the reference sum of its bytes.
+func TestPartialOfChainFoldsToReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		c := NewChain()
+		var want refPartial
+		for _, fr := range splitAt(randomPayload(rng), rng) {
+			c.Append(FromBytes(fr))
+			want.addBytes(fr)
+		}
+		got := PartialOfChain(c)
+		c.Release()
+		return got.Fold() == want.fold() && got.odd == want.odd
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCombineFoldsToReference: an even-length header partial combined with
+// a fragmented payload's partial folds to the reference sum over the
+// concatenation — the inheritance rule udp, tcp and sunrpc rely on.
+func TestCombineFoldsToReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		hdr := make([]byte, 2*rng.Intn(40))
+		rng.Read(hdr)
+		var hs, ps Partial
+		hs.AddBytes(hdr)
+		var want refPartial
+		want.addBytes(hdr)
+		for _, fr := range splitAt(randomPayload(rng), rng) {
+			ps.AddBytes(fr)
+			want.addBytes(fr)
+		}
+		got := Combine(hs, ps)
+		return got.Fold() == want.fold() && got.odd == want.odd
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+var sinkSum uint16
+
+// BenchmarkSum measures the checksum over payload sizes from one small
+// header to a 64 KB datagram.
+func BenchmarkSum(b *testing.B) {
+	for _, n := range []int{64, 1500, 4096, 65536} {
+		p := make([]byte, n)
+		rand.New(rand.NewSource(1)).Read(p)
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			b.SetBytes(int64(n))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkSum = Sum(p)
+			}
+		})
 	}
 }

@@ -84,6 +84,19 @@ func recordChainDoubleFree(c *Chain) {
 	globalDoubleFrees.Add(1)
 }
 
+// live panics in debug mode when c has been released or consumed by
+// AppendChain: a poisoned chain must never be read or mutated again. The
+// check is one branch on a global otherwise, cheap enough for every method.
+func (c *Chain) live() {
+	if debugMode && c.freed {
+		panicUseAfterRelease(c)
+	}
+}
+
+func panicUseAfterRelease(c *Chain) {
+	panic(fmt.Sprintf("netbuf: use of released or consumed chain %p", c))
+}
+
 // descFree recycles Buf descriptors (clone descriptors and standalone
 // buffers whose backing is gone). Disabled in debug mode so released
 // descriptors stay poisoned.

@@ -15,6 +15,7 @@ import (
 // order, with a slice aliasing the buffer's bytes. fn returns false to stop
 // early. No payload bytes are copied and no descriptors are allocated.
 func (c *Chain) Range(off, n int, fn func(p []byte) bool) error {
+	c.live()
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return fmt.Errorf("netbuf: range [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
@@ -51,6 +52,7 @@ func (c *Chain) Range(off, n int, fn func(p []byte) bool) error {
 // first). It is Gather with an offset: a physical copy the caller charges,
 // but with no descriptor clones along the way.
 func (c *Chain) GatherRange(off int, dst []byte) int {
+	c.live()
 	if off < 0 || off >= c.Len() || len(dst) == 0 {
 		return 0
 	}
@@ -71,6 +73,7 @@ func (c *Chain) GatherRange(off int, dst []byte) int {
 // behind block-aligned substitution when protocol block sizes mismatch
 // (§3.5); Slice is a synonym kept for the original call sites.
 func (c *Chain) SubChain(off, n int) (*Chain, error) {
+	c.live()
 	if off < 0 || n < 0 || off+n > c.Len() {
 		return nil, fmt.Errorf("netbuf: slice [%d,%d) out of range 0..%d", off, off+n, c.Len())
 	}
@@ -121,6 +124,7 @@ func (c *Chain) SubChain(off, n int) (*Chain, error) {
 // short when the chain's payload is smaller than src. The chain's geometry
 // is unchanged; its cached checksum is invalidated.
 func (c *Chain) Scatter(src []byte) int {
+	c.live()
 	c.invalidatePartial()
 	n := 0
 	for _, b := range c.bufs {
@@ -132,22 +136,32 @@ func (c *Chain) Scatter(src []byte) int {
 	return n
 }
 
-// AppendChain moves every buffer of o to the tail of c, transferring
-// ownership, and leaves o empty. It replaces the per-buffer Append loop at
-// every layer hand-off (no per-buffer slice growth beyond c's own).
+// AppendChain moves every buffer of o to the tail of c and consumes o: the
+// buffer references transfer to c and o's struct is recycled (its
+// descriptor slice with it), exactly as if o had been released empty. The
+// caller must not touch o afterwards; in debug mode any later call on it
+// panics. It replaces the per-buffer Append loop at every layer hand-off.
 func (c *Chain) AppendChain(o *Chain) {
-	if o == nil || len(o.bufs) == 0 {
+	if o == nil {
 		return
 	}
-	c.invalidatePartial()
-	c.bufs = append(c.bufs, o.bufs...)
-	o.invalidatePartial()
-	o.bufs = o.bufs[:0]
+	c.live()
+	o.live()
+	if len(o.bufs) > 0 {
+		c.invalidatePartial()
+		c.bufs = append(c.bufs, o.bufs...)
+		clear(o.bufs)
+		o.bufs = o.bufs[:0]
+	}
+	putChain(o)
 }
 
 // Reader returns a non-consuming io.Reader over the chain's payload. The
 // chain must not be mutated or released while the reader is in use.
-func (c *Chain) Reader() *ChainReader { return &ChainReader{c: c} }
+func (c *Chain) Reader() *ChainReader {
+	c.live()
+	return &ChainReader{c: c}
+}
 
 // ChainReader is a cursor over a chain's payload implementing io.Reader.
 type ChainReader struct {
@@ -185,7 +199,10 @@ func (r *ChainReader) Read(p []byte) (int, error) {
 // Writer returns an io.Writer that appends to the chain, drawing buffers
 // from pool (or standalone DefaultBufSize buffers when pool is nil). The
 // final partial buffer keeps its tailroom, so consecutive writes pack.
-func (c *Chain) Writer(pool *Pool) *ChainWriter { return &ChainWriter{c: c, pool: pool} }
+func (c *Chain) Writer(pool *Pool) *ChainWriter {
+	c.live()
+	return &ChainWriter{c: c, pool: pool}
+}
 
 // ChainWriter appends bytes to a chain as pooled segments.
 type ChainWriter struct {

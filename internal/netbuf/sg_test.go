@@ -236,9 +236,17 @@ func TestAppendChainMovesOwnership(t *testing.T) {
 	a := ChainFromBytes([]byte("hello "), 4)
 	b := ChainFromBytes([]byte("world"), 3)
 	nb := b.NumBufs()
+	backing := b.bufs[:cap(b.bufs)]
 	a.AppendChain(b)
-	if b.NumBufs() != 0 {
-		t.Fatalf("source chain kept %d bufs", b.NumBufs())
+	// b is consumed: retired like a released chain, with no buffer
+	// reference left behind in its (recycled) descriptor slice.
+	if !b.freed || len(b.bufs) != 0 {
+		t.Fatalf("source chain not retired: freed=%v bufs=%d", b.freed, len(b.bufs))
+	}
+	for i, sb := range backing {
+		if sb != nil {
+			t.Fatalf("consumed chain's slot %d still holds %s", i, sb)
+		}
 	}
 	if a.NumBufs() != 2+nb {
 		t.Fatalf("dest has %d bufs", a.NumBufs())

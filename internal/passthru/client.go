@@ -101,6 +101,9 @@ func (c *ClientHost) DialHTTP(server eth.Addr, done func(*HTTPConn, error)) {
 	})
 }
 
+// Node returns the client node the connection runs on.
+func (h *HTTPConn) Node() *simnet.Node { return h.host.Node }
+
 // Get requests a path; done receives the body length. One request may be
 // outstanding per connection.
 func (h *HTTPConn) Get(path string, done func(int, error)) {

@@ -53,6 +53,36 @@ func TestEventCancelZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestResourceUseZeroAllocs gates the per-packet CPU/NIC/disk charge: a
+// Resource.Use with a preallocated completion (or none) schedules and fires
+// without allocating — the resource rides on the pooled event instead of a
+// closure wrapping done — and the completion still books the job first.
+func TestResourceUseZeroAllocs(t *testing.T) {
+	e := NewEngine()
+	r := NewResource(e, "cpu")
+	jobsAtDone := uint64(0)
+	done := func() { jobsAtDone = r.Jobs() }
+	for i := 0; i < 64; i++ {
+		r.Use(1, done)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("prime Run: %v", err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		r.Use(5, done)
+		r.Use(0, nil)
+		if err := e.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Resource.Use allocates %.1f objects/op, want 0", avg)
+	}
+	if r.QueueLen() != 0 || jobsAtDone != r.Jobs()-1 {
+		t.Fatalf("queue %d, jobs %d, jobs seen by the last done %d", r.QueueLen(), r.Jobs(), jobsAtDone)
+	}
+}
+
 // TestEventIDStaleAfterReuse pins the ABA guarantee the free list depends
 // on: an EventID from a fired event must not cancel the object's next
 // tenant.

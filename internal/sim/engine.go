@@ -67,9 +67,10 @@ type event struct {
 	at  Time
 	seq uint64 // tiebreaker: FIFO among events at the same instant
 	fn  func()
-	ctx any    // request context captured at scheduling time
-	idx int    // heap index, -1 once popped or canceled
-	gen uint64 // incarnation counter, bumped on every recycle
+	ctx any       // request context captured at scheduling time
+	res *Resource // resource whose job completes here (Resource.Use), or nil
+	idx int       // heap index, -1 once popped or canceled
+	gen uint64    // incarnation counter, bumped on every recycle
 }
 
 // EventID identifies a scheduled event so it can be canceled. It pins the
@@ -190,7 +191,7 @@ func (e *Engine) Schedule(d Duration, fn func()) EventID {
 // At runs fn at absolute time t. If t is in the past, fn runs at the current
 // time (but never before events already due).
 func (e *Engine) At(t Time, fn func()) EventID {
-	return e.insertAt(t, fn, e.cur)
+	return e.insertAt(t, fn, e.cur, nil)
 }
 
 // Cancel removes a pending event. Canceling an already-fired or canceled
@@ -236,6 +237,7 @@ func (e *Engine) Pending() int {
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.ctx = nil
+	ev.res = nil
 	ev.idx = -1
 	ev.gen++
 	e.free = append(e.free, ev)
@@ -363,11 +365,14 @@ func (e *Engine) step(until Time) (bool, error) {
 		e.recycle(popped)
 		return false, fmt.Errorf("sim: event limit %d exceeded at t=%s", e.limit, e.now)
 	}
-	fn, ctx := popped.fn, popped.ctx
+	fn, ctx, res := popped.fn, popped.ctx, popped.res
 	// Recycle before running fn: the common schedule-from-an-event pattern
 	// then reuses the same object, and any stale EventID is fenced off by
 	// the generation bump.
 	e.recycle(popped)
+	if res != nil {
+		res.complete()
+	}
 	if fn != nil {
 		e.cur = ctx
 		fn()

@@ -60,13 +60,17 @@ func (r *Resource) Use(d Duration, done func()) {
 	if r.queued > r.maxQueue {
 		r.maxQueue = r.queued
 	}
-	r.eng.At(finish, func() {
-		r.queued--
-		r.jobs++
-		if done != nil {
-			done()
-		}
-	})
+	// The completion event carries r itself rather than a closure over it:
+	// the dispatch loop books the job (complete) before running done, so
+	// a Use allocates nothing beyond what done already is.
+	r.eng.insertAt(finish, done, r.eng.cur, r)
+}
+
+// complete books one finished job. The engine's dispatch loop calls it when
+// the completion event scheduled by Use fires, before that event's callback.
+func (r *Resource) complete() {
+	r.queued--
+	r.jobs++
 }
 
 // Busy returns the cumulative service time granted since the last ResetStats.

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"sync/atomic"
-
 	"ncache/internal/netbuf"
 	"ncache/internal/nfs"
 	"ncache/internal/sim"
@@ -31,12 +29,19 @@ type patState struct {
 	next uint64
 }
 
-// perClientStates builds the pattern-state table for a load: shared on a
-// sequential engine, per-client (with seeds derived from the client index,
-// independent of execution order) on a sharded one.
+// perClientStates builds the pattern-state table for a load over NFS
+// clients (see streamStates).
 func perClientStates(clients []*nfs.Client, shared *sim.RNG, base uint64) []*patState {
-	states := make([]*patState, len(clients))
-	sharded := len(clients) > 0 && clients[0].Node().Eng.Sharded()
+	return streamStates(len(clients), len(clients) > 0 && clients[0].Node().Eng.Sharded(), shared, base)
+}
+
+// streamStates builds the pattern-state table for n issuing streams: one
+// state shared by all on a sequential engine, so the stream every committed
+// result was drawn from stays bit-identical; per stream on a sharded one,
+// with seeds derived from the stream index, independent of execution order,
+// so no two shards ever draw from one RNG.
+func streamStates(n int, sharded bool, shared *sim.RNG, base uint64) []*patState {
+	states := make([]*patState, n)
 	if !sharded {
 		st := &patState{rng: shared}
 		for i := range states {
@@ -71,10 +76,9 @@ type NFSReadLoad struct {
 	// Tracer, when set, opens a span per request. Nil-safe.
 	Tracer *trace.Tracer
 
-	// Counters are atomics: completions land on each client's shard.
-	ops, bytes, errs uint64
-	stopped          bool
-	states           []*patState
+	tally
+	stopped bool
+	states  []*patState
 }
 
 var _ Load = (*NFSReadLoad)(nil)
@@ -100,11 +104,6 @@ func (l *NFSReadLoad) Start() {
 
 // Stop implements Load.
 func (l *NFSReadLoad) Stop() { l.stopped = true }
-
-// Counters implements Load.
-func (l *NFSReadLoad) Counters() (uint64, uint64, uint64) {
-	return atomic.LoadUint64(&l.ops), atomic.LoadUint64(&l.bytes), atomic.LoadUint64(&l.errs)
-}
 
 // nextOffset advances the access pattern of one issuing stream.
 func (l *NFSReadLoad) nextOffset(st *patState) uint64 {
@@ -134,13 +133,12 @@ func (l *NFSReadLoad) issue(i int) {
 	sp := spanOn(l.Tracer, c, "read")
 	c.Read(l.FH, off, l.RequestSize, func(data *netbuf.Chain, _ nfs.Attr, err error) {
 		sp.Finish()
-		if err != nil {
-			atomic.AddUint64(&l.errs, 1)
-		} else {
-			atomic.AddUint64(&l.ops, 1)
-			atomic.AddUint64(&l.bytes, uint64(data.Len()))
+		n := 0
+		if err == nil {
+			n = data.Len()
 			data.Release()
 		}
+		l.finish(n, err)
 		l.issue(i)
 	})
 }
@@ -156,10 +154,9 @@ type NFSWriteLoad struct {
 	// Tracer, when set, opens a span per request. Nil-safe.
 	Tracer *trace.Tracer
 
-	// Counters are atomics: completions land on each client's shard.
-	ops, bytes, errs uint64
-	stopped          bool
-	states           []*patState
+	tally
+	stopped bool
+	states  []*patState
 }
 
 var _ Load = (*NFSWriteLoad)(nil)
@@ -186,11 +183,6 @@ func (l *NFSWriteLoad) Start() {
 // Stop implements Load.
 func (l *NFSWriteLoad) Stop() { l.stopped = true }
 
-// Counters implements Load.
-func (l *NFSWriteLoad) Counters() (uint64, uint64, uint64) {
-	return atomic.LoadUint64(&l.ops), atomic.LoadUint64(&l.bytes), atomic.LoadUint64(&l.errs)
-}
-
 // issue sends one write and chains the next.
 func (l *NFSWriteLoad) issue(i int) {
 	if l.stopped {
@@ -208,12 +200,7 @@ func (l *NFSWriteLoad) issue(i int) {
 	sp := spanOn(l.Tracer, c, "write")
 	c.Write(l.FH, off, junkChain(c, l.RequestSize), func(n int, _ nfs.Attr, err error) {
 		sp.Finish()
-		if err != nil {
-			atomic.AddUint64(&l.errs, 1)
-		} else {
-			atomic.AddUint64(&l.ops, 1)
-			atomic.AddUint64(&l.bytes, uint64(n))
-		}
+		l.finish(n, err)
 		l.issue(i)
 	})
 }

@@ -38,13 +38,8 @@ type RoutedMixLoad struct {
 	Tracer *trace.Tracer
 
 	rngs []*sim.RNG
-	// Counters are atomics: each route's completions land on its own
-	// client host's shard. The sums are commutative, so totals replay
-	// identically for any worker count.
-	ops     uint64
-	bytes   uint64
-	errs    uint64
-	routeEs uint64
+	tally
+	routeEs atomic.Uint64
 	stopped bool
 }
 
@@ -73,13 +68,8 @@ func (l *RoutedMixLoad) Start() {
 // Stop implements Load.
 func (l *RoutedMixLoad) Stop() { l.stopped = true }
 
-// Counters implements Load.
-func (l *RoutedMixLoad) Counters() (uint64, uint64, uint64) {
-	return atomic.LoadUint64(&l.ops), atomic.LoadUint64(&l.bytes), atomic.LoadUint64(&l.errs)
-}
-
 // RouteErrors counts operations that failed at the routing step.
-func (l *RoutedMixLoad) RouteErrors() uint64 { return atomic.LoadUint64(&l.routeEs) }
+func (l *RoutedMixLoad) RouteErrors() uint64 { return l.routeEs.Load() }
 
 // issue resolves a route and runs one operation, then chains the next.
 func (l *RoutedMixLoad) issue(route int) {
@@ -102,17 +92,12 @@ func (l *RoutedMixLoad) issue(route int) {
 	off := uint64(rng.Int63n(int64(span))) * uint64(size)
 
 	finish := func(n int, err error) {
-		if err != nil {
-			atomic.AddUint64(&l.errs, 1)
-		} else {
-			atomic.AddUint64(&l.ops, 1)
-			atomic.AddUint64(&l.bytes, uint64(n))
-		}
+		l.finish(n, err)
 		l.issue(route)
 	}
 	l.Routes[route](fh, func(c *nfs.Client, err error) {
 		if err != nil {
-			atomic.AddUint64(&l.routeEs, 1)
+			l.routeEs.Add(1)
 			finish(0, err)
 			return
 		}

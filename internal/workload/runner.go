@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ncache/internal/sim"
 )
@@ -48,6 +49,29 @@ type Load interface {
 	Stop()
 	// Counters reports cumulative ops/bytes/errors completed so far.
 	Counters() (ops, bytes, errs uint64)
+}
+
+// tally is a load's completion counters and implements Load.Counters for
+// every load that embeds it. Under the parallel engine completions land on
+// each client's own shard, so every update is atomic; the sums commute, so
+// totals replay identically for any worker count.
+type tally struct {
+	ops, bytes, errs atomic.Uint64
+}
+
+// Counters implements Load.
+func (t *tally) Counters() (uint64, uint64, uint64) {
+	return t.ops.Load(), t.bytes.Load(), t.errs.Load()
+}
+
+// finish books one completed operation that moved n bytes, or a failure.
+func (t *tally) finish(n int, err error) {
+	if err != nil {
+		t.errs.Add(1)
+		return
+	}
+	t.ops.Add(1)
+	t.bytes.Add(uint64(n))
 }
 
 // Run drives a load through warm-up and measurement. resetStats is invoked

@@ -51,12 +51,12 @@ type SFSLoad struct {
 	Clients []*nfs.Client
 	Cfg     SFSConfig
 
-	rng     *sim.RNG
-	ops     uint64
-	bytes   uint64
-	errs    uint64
+	tally
 	stopped bool
-	scratch uint64
+	sharded bool
+	// states holds each client's op stream; its next field numbers the
+	// scratch files that client creates.
+	states []*patState
 }
 
 var _ Load = (*SFSLoad)(nil)
@@ -66,10 +66,11 @@ func (l *SFSLoad) Start() {
 	if l.Cfg.Concurrency <= 0 {
 		l.Cfg.Concurrency = 4
 	}
-	l.rng = sim.NewRNG(l.Cfg.Seed + 7)
-	for _, c := range l.Clients {
+	l.states = perClientStates(l.Clients, sim.NewRNG(l.Cfg.Seed+7), l.Cfg.Seed+7)
+	l.sharded = len(l.Clients) > 0 && l.Clients[0].Node().Eng.Sharded()
+	for i := range l.Clients {
 		for w := 0; w < l.Cfg.Concurrency; w++ {
-			l.issue(c)
+			l.issue(i)
 		}
 	}
 }
@@ -77,18 +78,13 @@ func (l *SFSLoad) Start() {
 // Stop implements Load.
 func (l *SFSLoad) Stop() { l.stopped = true }
 
-// Counters implements Load.
-func (l *SFSLoad) Counters() (uint64, uint64, uint64) {
-	return l.ops, l.bytes, l.errs
-}
-
 // pickSize draws a request size from the SFS distribution.
-func (l *SFSLoad) pickSize() int {
+func pickSize(rng *sim.RNG) int {
 	total := 0
 	for _, s := range sfsSizes {
 		total += s.weight
 	}
-	v := l.rng.Intn(total)
+	v := rng.Intn(total)
 	for _, s := range sfsSizes {
 		if v < s.weight {
 			return s.size
@@ -99,38 +95,48 @@ func (l *SFSLoad) pickSize() int {
 }
 
 // pickFile draws a file uniformly from the set.
-func (l *SFSLoad) pickFile() FileRef {
-	return l.Cfg.Files[l.rng.Intn(len(l.Cfg.Files))]
+func (l *SFSLoad) pickFile(rng *sim.RNG) FileRef {
+	return l.Cfg.Files[rng.Intn(len(l.Cfg.Files))]
 }
 
-// issue performs one operation from the mix and chains the next.
-func (l *SFSLoad) issue(c *nfs.Client) {
+// scratchName names client i's next create+remove file. Sequentially one
+// counter numbers every client's files; sharded, each client counts its
+// own and the name carries the client index so names never collide.
+func (l *SFSLoad) scratchName(i int) string {
+	st := l.states[i]
+	st.next++
+	name := "sfs-tmp-" + strconv.FormatUint(st.next, 36)
+	if l.sharded {
+		name += "-" + strconv.Itoa(i)
+	}
+	return name
+}
+
+// issue performs one operation from client i's mix and chains the next.
+func (l *SFSLoad) issue(i int) {
 	if l.stopped {
 		return
 	}
+	c := l.Clients[i]
+	rng := l.states[i].rng
 	finish := func(n int, err error) {
-		if err != nil {
-			l.errs++
-		} else {
-			l.ops++
-			l.bytes += uint64(n)
-		}
-		l.issue(c)
+		l.finish(n, err)
+		l.issue(i)
 	}
-	if l.rng.Intn(100) < l.Cfg.RegularDataPct {
+	if rng.Intn(100) < l.Cfg.RegularDataPct {
 		// Regular data: 5:1 read:write.
-		f := l.pickFile()
-		size := l.pickSize()
+		f := l.pickFile(rng)
+		size := pickSize(rng)
 		blocks := f.Size / uint64(size)
 		if blocks == 0 {
 			blocks = 1
 		}
-		off := uint64(l.rng.Int63n(int64(blocks))) * uint64(size)
-		isRead := l.rng.Intn(6) < 5
+		off := uint64(rng.Int63n(int64(blocks))) * uint64(size)
+		isRead := rng.Intn(6) < 5
 		if l.Cfg.WriteMixPct > 0 {
 			// One extra draw, only on the non-default mix — the default
 			// stream stays bit-identical to the seed replays.
-			isRead = l.rng.Intn(100) >= l.Cfg.WriteMixPct
+			isRead = rng.Intn(100) >= l.Cfg.WriteMixPct
 		}
 		if isRead {
 			c.Read(f.FH, off, size, func(data *netbuf.Chain, _ nfs.Attr, err error) {
@@ -149,9 +155,9 @@ func (l *SFSLoad) issue(c *nfs.Client) {
 		return
 	}
 	// Metadata: getattr / lookup / readdir / create+remove.
-	switch v := l.rng.Intn(100); {
+	switch v := rng.Intn(100); {
 	case v < 45:
-		f := l.pickFile()
+		f := l.pickFile(rng)
 		c.Getattr(f.FH, func(_ nfs.Attr, err error) { finish(0, err) })
 	case v < 80:
 		c.Lookup(l.Cfg.ScratchDir, "nonexistent-probe", func(_ nfs.FH, _ nfs.Attr, err error) {
@@ -164,14 +170,13 @@ func (l *SFSLoad) issue(c *nfs.Client) {
 	case v < 90:
 		c.Readdir(l.Cfg.ScratchDir, func(_ []string, err error) { finish(0, err) })
 	default:
-		l.scratch++
-		name := "sfs-tmp-" + strconv.FormatUint(l.scratch, 36)
+		name := l.scratchName(i)
 		c.Create(l.Cfg.ScratchDir, name, func(fh nfs.FH, _ nfs.Attr, err error) {
 			if err != nil {
 				finish(0, err)
 				return
 			}
-			l.ops++ // the create itself
+			l.ops.Add(1) // the create itself
 			c.Remove(l.Cfg.ScratchDir, name, func(err error) { finish(0, err) })
 		})
 	}

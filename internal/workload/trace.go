@@ -82,10 +82,8 @@ type TracePlayer struct {
 	Concurrency int
 	Loop        bool
 
-	cursor  int
-	ops     uint64
-	bytes   uint64
-	errs    uint64
+	cursor int
+	tally
 	stopped bool
 	// Done fires once when a non-looping replay exhausts the trace and
 	// all workers have drained.
@@ -109,11 +107,6 @@ func (p *TracePlayer) Start() {
 
 // Stop implements Load.
 func (p *TracePlayer) Stop() { p.stopped = true }
-
-// Counters implements Load.
-func (p *TracePlayer) Counters() (uint64, uint64, uint64) {
-	return p.ops, p.bytes, p.errs
-}
 
 // nextOp fetches the next trace record.
 func (p *TracePlayer) nextOp() (TraceOp, bool) {
@@ -148,12 +141,7 @@ func (p *TracePlayer) issue(c *nfs.Client) {
 	p.inFlight++
 	finish := func(n int, err error) {
 		p.inFlight--
-		if err != nil {
-			p.errs++
-		} else {
-			p.ops++
-			p.bytes += uint64(n)
-		}
+		p.finish(n, err)
 		p.issue(c)
 	}
 	switch op.Kind {

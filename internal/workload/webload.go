@@ -88,10 +88,11 @@ type WebLoad struct {
 	ZipfS float64
 	Seed  uint64
 
-	zipf    *Zipf
-	ops     uint64
-	bytes   uint64
-	errs    uint64
+	tally
+	// zipfs holds each connection's page sampler. All share one CDF; they
+	// share one RNG on a sequential engine and draw from per-connection
+	// streams on a sharded one (see streamStates).
+	zipfs   []*Zipf
 	stopped bool
 }
 
@@ -102,34 +103,30 @@ func (l *WebLoad) Start() {
 	if l.ZipfS == 0 {
 		l.ZipfS = 1.0
 	}
-	l.zipf = NewZipf(sim.NewRNG(l.Seed+11), len(l.Pages.Names), l.ZipfS)
-	for _, c := range l.Conns {
-		l.issue(c)
+	rng := sim.NewRNG(l.Seed + 11)
+	base := NewZipf(rng, len(l.Pages.Names), l.ZipfS)
+	l.zipfs = make([]*Zipf, len(l.Conns))
+	sharded := len(l.Conns) > 0 && l.Conns[0].Node().Eng.Sharded()
+	for i, st := range streamStates(len(l.Conns), sharded, rng, l.Seed+11) {
+		l.zipfs[i] = &Zipf{rng: st.rng, cdf: base.cdf}
+	}
+	for i := range l.Conns {
+		l.issue(i)
 	}
 }
 
 // Stop implements Load.
 func (l *WebLoad) Stop() { l.stopped = true }
 
-// Counters implements Load.
-func (l *WebLoad) Counters() (uint64, uint64, uint64) {
-	return l.ops, l.bytes, l.errs
-}
-
-// issue requests one page and chains the next.
-func (l *WebLoad) issue(c *passthru.HTTPConn) {
+// issue requests one page on connection i and chains the next.
+func (l *WebLoad) issue(i int) {
 	if l.stopped {
 		return
 	}
-	page := l.zipf.Next()
-	c.Get(l.Pages.Names[page], func(n int, err error) {
-		if err != nil {
-			l.errs++
-		} else {
-			l.ops++
-			l.bytes += uint64(n)
-		}
-		l.issue(c)
+	page := l.zipfs[i].Next()
+	l.Conns[i].Get(l.Pages.Names[page], func(n int, err error) {
+		l.finish(n, err)
+		l.issue(i)
 	})
 }
 
@@ -140,8 +137,8 @@ type FixedWebLoad struct {
 	Conns []*passthru.HTTPConn
 	Page  string
 
-	ops, bytes, errs uint64
-	stopped          bool
+	tally
+	stopped bool
 }
 
 var _ Load = (*FixedWebLoad)(nil)
@@ -156,22 +153,12 @@ func (l *FixedWebLoad) Start() {
 // Stop implements Load.
 func (l *FixedWebLoad) Stop() { l.stopped = true }
 
-// Counters implements Load.
-func (l *FixedWebLoad) Counters() (uint64, uint64, uint64) {
-	return l.ops, l.bytes, l.errs
-}
-
 func (l *FixedWebLoad) issue(c *passthru.HTTPConn) {
 	if l.stopped {
 		return
 	}
 	c.Get(l.Page, func(n int, err error) {
-		if err != nil {
-			l.errs++
-		} else {
-			l.ops++
-			l.bytes += uint64(n)
-		}
+		l.finish(n, err)
 		l.issue(c)
 	})
 }
